@@ -348,8 +348,10 @@ class StampedeClient:
     batching:
         Whether fire-and-forget casts (async puts/consumes) are
         coalesced into batch envelopes — one syscall and one wire frame
-        for a burst of N items.  Ordering is unchanged: any synchronous
-        call flushes the pending batch first.  Default True.
+        for a burst of N items, at the price of up to ``batch_linger``
+        of added latency per item.  Ordering is unchanged: any
+        synchronous call flushes the pending batch first.  Default
+        False: each cast is one frame, written on the caller's thread.
     batch_max_items, batch_max_bytes, batch_linger:
         Coalescer knobs: flush when the batch reaches this many items or
         payload bytes, or ``batch_linger`` seconds after the first item,
@@ -368,7 +370,7 @@ class StampedeClient:
                  transport_wrapper: Optional[TransportWrapper] = None,
                  connect: Optional[
                      Callable[[], StreamTransport]] = None,
-                 batching: bool = True,
+                 batching: bool = False,
                  batch_max_items: int = 64,
                  batch_max_bytes: int = 128 * 1024,
                  batch_linger: float = 0.002

@@ -297,7 +297,7 @@ def _parse(spec: Any, depth: int = 0) -> AttentionFilter:
         raise DecodeError(f"filter spec must be a dict, got "
                           f"{type(spec).__name__}")
     kind = spec.get("kind")
-    parser = _PARSERS.get(kind)  # type: ignore[arg-type]
+    parser = _PARSERS.get(kind) if isinstance(kind, str) else None
     if parser is None:
         raise DecodeError(f"unknown filter kind {kind!r}; "
                           f"known: {sorted(_PARSERS)}")

@@ -29,6 +29,11 @@ genuinely must wait it moves it to a transient worker, calls
 to other clients while the suspended client's later tasks wait — order
 preserved — until :meth:`LaneClient.resume`.
 
+A client that is idle need not wake a lane at all:
+:meth:`LaneClient.run_inline` runs an element on the calling thread (the
+server's reactor, for ops that cannot block) under the same bookkeeping,
+so issue order and the suspend protocol hold across both paths.
+
 Idle lanes park on a condition variable: zero wakeups, matching the
 reactor's discipline.  Lane threads start lazily, so a pool sized
 ``min(32, 4×cpu)`` costs nothing until traffic actually fans out.
@@ -62,6 +67,7 @@ Task = Any
 Runner = Callable[[Task], Any]
 
 _SUBMITTED = _metrics.counter("runtime.lanes.submitted")
+_INLINE = _metrics.counter("runtime.lanes.inline")
 _EXECUTED = _metrics.counter("runtime.lanes.executed")
 _OFFLOADS = _metrics.counter("runtime.lanes.suspends")
 _EVICTIONS = _metrics.counter("runtime.lanes.evictions")
@@ -156,6 +162,40 @@ class LaneClient:
             lane.ensure_thread()
             lane.cond.notify_all()
 
+    def run_inline(self, element: Any) -> bool:
+        """Run *element* on the calling thread if this client is idle.
+
+        Idle means nothing queued, running or suspended.  The element
+        then runs under a lane thread's bookkeeping: the client counts
+        as scheduled and active, so a concurrent :meth:`submit` queues
+        behind it, and a runner that suspends the client and returns
+        :data:`STOP` holds back later tasks exactly as on a lane.
+        Returns False, having run nothing, when the client is busy; the
+        caller submits the element instead.
+        """
+        lane = self._lane
+        with lane.lock:
+            if (self._scheduled or self._suspended or self._tasks
+                    or self._evicted or lane.stopping):
+                return False
+            self._scheduled = True
+            self._active = True
+        if _metrics.enabled:
+            _INLINE.value += len(element) if isinstance(element, list) \
+                else 1
+        lane.run_element(self, element)
+        with lane.lock:
+            self._active = False
+            if self._tasks and not self._evicted \
+                    and not self._suspended:
+                # Submitted while we ran: the lane takes over from here.
+                lane.ready.append(self)
+                lane.ensure_thread()
+            else:
+                self._scheduled = False
+            lane.cond.notify_all()  # wake drain()ers
+        return True
+
     # -- liveness cooperation ------------------------------------------------
 
     def suspend(self) -> None:
@@ -194,6 +234,9 @@ class LaneClient:
             if self._tasks and not self._scheduled and not self._evicted:
                 self._scheduled = True
                 lane.ready.append(self)
+                # The suspending element may have run inline, before
+                # this lane ever started its thread.
+                lane.ensure_thread()
             # Unconditional: drain()ers wait for suspension to lift even
             # when nothing is queued (the offloaded op just finished).
             lane.cond.notify_all()

@@ -535,6 +535,12 @@ class SessionService:
         with self._lock:
             return wire_id in self._connections
 
+    def is_local_connection(self, wire_id: int) -> bool:
+        """Whether *wire_id* names a live connection to a container held
+        in this process (not one forwarded to another shard)."""
+        with self._lock:
+            return isinstance(self._connections.get(wire_id), Connection)
+
     def connection_count(self) -> int:
         """Number of live wire connections (RESUME reports it back)."""
         with self._lock:

@@ -14,7 +14,10 @@ connection are executed on that connection's
 server's bounded :class:`~repro.runtime.lanes.LanePool` — so a blocking
 ``get`` from the device's display thread never stalls the puts of its
 producer thread (both share the device's single connection), while the
-server's thread count stays O(lanes) instead of O(connections).
+server's thread count stays O(lanes) instead of O(connections).  In
+reactor mode a put, get or consume on an idle connection to a local
+container skips the lane handoff and runs to completion on the reactor
+turn that decoded it (:meth:`Surrogate._run_or_queue`).
 
 Two receive modes exist:
 
@@ -85,6 +88,11 @@ def _op_hist(opcode: int):
 _BLOCKING_OPS = frozenset({ops.OP_PUT, ops.OP_GET})
 #: What a non-blocking probe raises when the op would have waited.
 _WOULD_BLOCK = (ChannelFullError, ItemNotFoundError)
+#: Container ops that may run on the reactor turn that decoded them:
+#: after the non-blocking probe none of them waits (a genuine wait is
+#: offloaded exactly as on a lane).
+_INLINE_OPS = frozenset({ops.OP_PUT, ops.OP_GET, ops.OP_CONSUME,
+                         ops.OP_CONSUME_UNTIL})
 
 
 class _Offloaded(Exception):
@@ -144,12 +152,16 @@ class Surrogate:
         self._closed = threading.Event()
         self._lane_pool = lane_pool
         self._own_pool: Optional[lanes.LanePool] = None
-        self._lanes: Dict[int, lanes.LaneClient] = {}
+        #: Lane clients by wire connection id; key None is the client
+        #: that finishes replies the reactor could not send whole.
+        self._lanes: Dict[Optional[int], lanes.LaneClient] = {}
         self._lanes_lock = threading.Lock()
         self.last_activity = time.monotonic()
         self.requests_served = 0
         self._name = f"surrogate-{service.session_id}"
         self._reader: Optional[FrameReader] = None
+        #: The transport's never-waiting send, in reactor mode only.
+        self._send_nowait: Optional[Callable[..., bool]] = None
         self._rx_paused = False
         self._teardown_started = False
         self._thread: Optional[threading.Thread] = None
@@ -165,6 +177,8 @@ class Surrogate:
         if self._reactor is not None:
             self.connection.setblocking(False)
             self._reader = FrameReader()
+            self._send_nowait = getattr(
+                self.connection, "send_frame_parts_nowait", None)
             # A locally-closed socket vanishes from the selector without
             # an event; the hook turns any local close (lease reap,
             # test-driven sever, server shutdown) into a teardown.
@@ -209,10 +223,10 @@ class Surrogate:
     def _on_readable(self) -> None:
         """Reactor-mode receive: drain buffered frames without blocking.
 
-        Runs on the reactor thread.  Anything that could block — the
-        container ops themselves, RESUME, BYE, teardown — is handed to
-        worker threads by :meth:`_route`; this method only decodes and
-        routes.
+        Runs on the reactor thread.  Anything that could block — a
+        container op that must wait, RESUME, BYE, teardown — is handed
+        to worker threads by :meth:`_route`; only ops that cannot block
+        run here.
         """
         assert self._reader is not None
         try:
@@ -264,8 +278,9 @@ class Surrogate:
 
         Each subframe is a complete, individually-encoded cast request;
         routing it through :meth:`_route` sends it to the same lane
-        client a lone frame would reach, so per-connection ordering
-        and dedup semantics are exactly those of unbatched traffic.
+        client a lone frame would reach (or runs it inline under the
+        same rule), so per-connection ordering and dedup semantics are
+        exactly those of unbatched traffic.
         """
         if request_id != ops.CAST_REQUEST_ID:
             # A synchronous batch has no meaningful single reply; the
@@ -308,17 +323,17 @@ class Surrogate:
             if connection_id is not None \
                     and self.service.has_connection(connection_id):
                 if run and connection_id != run_connection:
-                    self._lane_client(run_connection).submit_many(run)
+                    self._run_or_queue(run_connection, run)
                     run = []
                 run_connection = connection_id
                 run.append((sub_id, sub_op, sub_args))
             else:
                 if run:
-                    self._lane_client(run_connection).submit_many(run)
+                    self._run_or_queue(run_connection, run)
                     run = []
                 self._route(sub_id, sub_op, sub_args)
         if run:
-            self._lane_client(run_connection).submit_many(run)
+            self._run_or_queue(run_connection, run)
 
     def _route(self, request_id: int, opcode: int, args) -> None:
         """Pick the execution context for one decoded request.
@@ -331,7 +346,9 @@ class Surrogate:
           could fill a bounded channel out of order and deadlock an
           in-order consumer.  Different connections execute in parallel
           across lanes, so a display thread's blocking get never stalls
-          its device's producer.
+          its device's producer.  Non-blocking ops on an idle local
+          connection skip the queue and run here (see
+          :meth:`_run_or_queue`).
         * ``attach`` with ``wait`` may block on the name server: its own
           worker thread.
         * In reactor mode, RESUME and BYE (which join or sleep) run on a
@@ -362,9 +379,8 @@ class Surrogate:
                 # with one entry per random id.
                 self._handle(request_id, opcode, args)
                 return
-            self._lane_client(connection_id).submit(
-                (request_id, opcode, args)
-            )
+            self._run_or_queue(connection_id, (request_id, opcode, args),
+                               opcode in _INLINE_OPS)
             return
         if opcode == ops.OP_ATTACH and args.get("wait"):
             worker = threading.Thread(
@@ -401,21 +417,47 @@ class Surrogate:
         threading.Thread(target=_work, name=f"{self._name}-lifecycle",
                          daemon=True).start()
 
+    def _run_or_queue(self, connection_id: int, element,
+                      inline: bool = True) -> None:
+        """Hand *element* — one request tuple, or a batch run (a list)
+        for one connection — to that connection's lane client.
+
+        In reactor mode an *inline*-eligible element (see
+        :data:`_INLINE_OPS`; batch runs always are) runs right here, on
+        the reactor turn that decoded it, when three things hold: the
+        connection's container lives in this process (a forwarded one
+        makes a blocking peer RPC), its lane client is idle (so issue
+        order cannot change), and the socket has taken every earlier
+        reply whole (so nothing of this device is stuck behind it).
+        Otherwise the element queues for a lane.
+        """
+        client = self._lane_client(connection_id)
+        if (inline and self._send_nowait is not None
+                and not self.connection.backlogged
+                and self.service.is_local_connection(connection_id)
+                and client.run_inline(element)):
+            return
+        if isinstance(element, list):
+            client.submit_many(element)
+        else:
+            client.submit(element)
+
+    def _pool(self) -> lanes.LanePool:
+        """The server's lane pool, or (standalone embedding: reactor-less
+        unit tests, no server) a lazily-created private one with the
+        same default sizing.  Lane threads start lazily, so a private
+        pool costs only the lanes actually used."""
+        if self._lane_pool is not None:
+            return self._lane_pool
+        if self._own_pool is None:
+            self._own_pool = lanes.LanePool(name=f"{self._name}-lane")
+        return self._own_pool
+
     def _lane_client(self, connection_id: int) -> lanes.LaneClient:
         with self._lanes_lock:
             client = self._lanes.get(connection_id)
             if client is None:
-                pool = self._lane_pool
-                if pool is None:
-                    # Standalone embedding (reactor-less unit tests, no
-                    # server): a lazily-created private pool with the
-                    # same default sizing.  Lane threads start lazily,
-                    # so the pool costs only the lanes actually used.
-                    pool = self._own_pool
-                    if pool is None:
-                        pool = self._own_pool = lanes.LanePool(
-                            name=f"{self._name}-lane")
-                client = pool.client(
+                client = self._pool().client(
                     self._run_request,
                     name=f"{self._name}-conn{connection_id}",
                 )
@@ -650,17 +692,42 @@ class Surrogate:
                 "connections": resumed.connection_count()}
 
     def _send(self, frame: bytes) -> None:
-        try:
-            self.connection.send_frame(frame)
-        except TransportClosedError:
-            self._on_send_failed()
+        self._send_parts((frame,))
 
     def _send_parts(self, parts) -> None:
         """Scatter/gather send: response header and payload buffers go
         to the kernel as one ``sendmsg``, so a cached item payload is
-        never copied into an intermediate response frame."""
+        never copied into an intermediate response frame.
+
+        The reactor never waits on one device's socket: there the send
+        takes only what the socket accepts at once, and a lane finishes
+        the rest (:meth:`_flush_off_loop`).
+        """
         try:
+            if self._send_nowait is not None \
+                    and self._reactor.on_loop_thread():
+                if not self._send_nowait(parts):
+                    self._flush_off_loop()
+                return
             self.connection.send_frame_parts(parts)
+        except TransportClosedError:
+            self._on_send_failed()
+
+    def _flush_off_loop(self) -> None:
+        """Queue a flush of the transport's send backlog on this
+        surrogate's flush client.  Until the backlog is out, this
+        device's container ops take the lane path."""
+        with self._lanes_lock:
+            client = self._lanes.get(None)
+            if client is None:
+                client = self._lanes[None] = self._pool().client(
+                    self._run_flush, name=f"{self._name}-flush")
+        client.submit(None)
+
+    def _run_flush(self, _task) -> None:
+        """Flush-client runner: write the backlog, waiting as needed."""
+        try:
+            self.connection.flush()
         except TransportClosedError:
             self._on_send_failed()
 

@@ -147,8 +147,24 @@ def _poll_wait(sock, events: int) -> None:
     poller.poll()
 
 
-def _sendmsg_all(sock: socket.socket,
-                 views: List[memoryview]) -> None:
+def _sendmsg_some(sock: socket.socket, views: List[memoryview],
+                  flags: int = 0) -> None:
+    """One vectored ``sendmsg`` from the head of *views*; the bytes the
+    kernel took are dropped from *views* in place."""
+    head = views[:_IOV_CAP]
+    # A plain send passes only the buffers, all a socket proxy (e.g. a
+    # syscall-counting wrapper) has to implement.
+    sent = sock.sendmsg(head, (), flags) if flags else sock.sendmsg(head)
+    done = 0
+    while sent and sent >= views[done].nbytes:
+        sent -= views[done].nbytes
+        done += 1
+    del views[:done]
+    if sent:
+        views[0] = views[0][sent:]
+
+
+def sendmsg_all(sock: socket.socket, views: List[memoryview]) -> None:
     """Vectored send of every buffer in *views*, handling partial sends.
 
     Works on blocking, timeout-carrying, and non-blocking sockets: a
@@ -158,23 +174,31 @@ def _sendmsg_all(sock: socket.socket,
     :class:`~repro.errors.TransportClosedError`, exactly as the old
     ``sendall`` path did.
     """
-    index = 0
-    while index < len(views):
+    while views:
         try:
-            sent = sock.sendmsg(views[index:index + _IOV_CAP])
+            _sendmsg_some(sock, views)
         except (BlockingIOError, InterruptedError):
             _poll_wait(sock, select.POLLOUT)
-            continue
         except OSError as exc:
             raise TransportClosedError(f"send failed: {exc}") from exc
-        while sent:
-            head = views[index]
-            if sent >= head.nbytes:
-                sent -= head.nbytes
-                index += 1
-            else:
-                views[index] = head[sent:]
-                sent = 0
+
+
+def sendmsg_nowait(sock: socket.socket,
+                   views: List[memoryview]) -> List[memoryview]:
+    """Send what the kernel takes of *views* right now; never waits.
+
+    Returns the unsent remainder (empty when everything went out).  The
+    caller owns the remainder: it must go out before any other byte on
+    *sock*, or the stream desyncs.
+    """
+    while views:
+        try:
+            _sendmsg_some(sock, views, socket.MSG_DONTWAIT)
+        except (BlockingIOError, InterruptedError):
+            break
+        except OSError as exc:
+            raise TransportClosedError(f"send failed: {exc}") from exc
+    return views
 
 
 def _as_views(parts: Sequence) -> "tuple[List[memoryview], int]":
@@ -191,14 +215,10 @@ def _as_views(parts: Sequence) -> "tuple[List[memoryview], int]":
     return views, total
 
 
-def write_frame_parts(sock: socket.socket, parts: Sequence) -> None:
-    """Write one frame whose payload is the concatenation of *parts*.
-
-    The length prefix and every part go out in a single scatter/gather
-    ``sendmsg`` — the payload slices are never copied or joined in user
-    space.  This is the zero-copy substrate for both single frames and
-    batched-cast envelopes.
-    """
+def frame_views(parts: Sequence) -> List[memoryview]:
+    """The wire image of one frame whose payload is the concatenation
+    of *parts*: the length prefix, then a view of every part (nothing
+    copied).  Counts the frame as sent."""
     views, total = _as_views(parts)
     if total > MAX_FRAME_SIZE:
         raise MessageTooLargeError(
@@ -207,7 +227,19 @@ def write_frame_parts(sock: socket.socket, parts: Sequence) -> None:
     if _metrics.enabled:
         _FRAMES_OUT.value += 1
         _BYTES_OUT.value += total + _LENGTH.size
-    _sendmsg_all(sock, [memoryview(_LENGTH.pack(total))] + views)
+    views.insert(0, memoryview(_LENGTH.pack(total)))
+    return views
+
+
+def write_frame_parts(sock: socket.socket, parts: Sequence) -> None:
+    """Write one frame whose payload is the concatenation of *parts*.
+
+    The length prefix and every part go out in a single scatter/gather
+    ``sendmsg`` — the payload slices are never copied or joined in user
+    space.  This is the zero-copy substrate for both single frames and
+    batched-cast envelopes.
+    """
+    sendmsg_all(sock, frame_views(parts))
 
 
 def write_frame(sock: socket.socket, payload) -> None:

@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Callable, Optional, Sequence, Tuple
+from collections import deque
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.errors import DeliveryTimeoutError, TransportClosedError
 from repro.transport.base import StreamTransport
 from repro.transport.message import (
     FrameReader,
-    write_frame,
+    frame_views,
+    sendmsg_all,
+    sendmsg_nowait,
     write_frame_parts,
 )
 
@@ -33,6 +36,11 @@ class TcpConnection(StreamTransport):
     that fires mid-frame keeps the partial bytes buffered instead of
     desyncing the stream — the next ``recv_frame`` resumes exactly where
     the last one stopped.
+
+    An event loop sends with :meth:`send_frame_parts_nowait`, which
+    never waits: what the socket does not take at once is kept in a
+    backlog of frame images that every later send — and :meth:`flush`
+    — writes out first, whole and in order.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -43,6 +51,9 @@ class TcpConnection(StreamTransport):
         self._peer: Address = sock.getpeername()
         self._local: Address = sock.getsockname()
         self._send_lock = threading.Lock()
+        #: Frame images (or the unsent tail of one, always at the head)
+        #: still owed to the socket; written only under _send_lock.
+        self._backlog: Deque[List[memoryview]] = deque()
         self._recv_lock = threading.Lock()
         self._reader = FrameReader()
         self._timeout: Optional[float] = sock.gettimeout()
@@ -83,10 +94,7 @@ class TcpConnection(StreamTransport):
 
     def send_frame(self, payload: bytes) -> None:
         """Send one length-prefixed frame (thread-safe)."""
-        if self._closed:
-            raise TransportClosedError("TCP connection is closed")
-        with self._send_lock:
-            write_frame(self._sock, payload)
+        self.send_frame_parts((payload,))
 
     def send_frame_parts(self, parts: Sequence) -> None:
         """Send one frame built from buffer slices: a single vectored
@@ -94,7 +102,56 @@ class TcpConnection(StreamTransport):
         if self._closed:
             raise TransportClosedError("TCP connection is closed")
         with self._send_lock:
+            self._write_backlog()
             write_frame_parts(self._sock, parts)
+
+    def send_frame_parts_nowait(self, parts: Sequence) -> bool:
+        """Send one frame without waiting on the socket or a sender.
+
+        True: the whole frame is in the kernel.  False: some or all of
+        it is in the backlog, and the caller must have :meth:`flush`
+        run on a thread that may block.
+        """
+        if self._closed:
+            raise TransportClosedError("TCP connection is closed")
+        views = frame_views(parts)
+        if not self._send_lock.acquire(blocking=False):
+            self._backlog.append(views)
+            return False
+        try:
+            if self._backlog:
+                self._backlog.append(views)
+                return False
+            views = sendmsg_nowait(self._sock, views)
+            if not views:
+                return True
+            # A frame another thread queued meanwhile must follow the
+            # tail of this one, which is already half on the wire.
+            self._backlog.appendleft(views)
+            return False
+        finally:
+            self._send_lock.release()
+
+    @property
+    def backlogged(self) -> bool:
+        """Whether a frame handed to :meth:`send_frame_parts_nowait` is
+        not yet wholly in the kernel."""
+        return bool(self._backlog)
+
+    def flush(self) -> None:
+        """Write out the backlog, waiting for the socket as needed."""
+        if self._closed:
+            raise TransportClosedError("TCP connection is closed")
+        with self._send_lock:
+            self._write_backlog()
+
+    def _write_backlog(self) -> None:
+        # Caller holds _send_lock.  A frame leaves the backlog only once
+        # it is wholly sent, so ``backlogged`` stays true until then.
+        backlog = self._backlog
+        while backlog:
+            sendmsg_all(self._sock, backlog[0])
+            backlog.popleft()
 
     def recv_frame(self, timeout: Optional[float] = None) -> bytes:
         """Receive one frame, waiting up to *timeout* seconds.

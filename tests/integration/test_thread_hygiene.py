@@ -11,6 +11,7 @@ import threading
 import time
 
 from repro import ConnectionMode, Runtime, StampedeClient, StampedeServer
+from repro.obs.metrics import GLOBAL_METRICS
 
 
 def _settled_count(baseline: int, timeout: float = 10.0) -> int:
@@ -21,6 +22,11 @@ def _settled_count(baseline: int, timeout: float = 10.0) -> int:
             break
         time.sleep(0.05)
     return threading.active_count()
+
+
+def _inline_count(client: StampedeClient) -> int:
+    """The server's ``runtime.lanes.inline`` counter, read over STATS."""
+    return client.stats()["metrics"]["counters"]["runtime.lanes.inline"]
 
 
 class TestThreadHygiene:
@@ -62,9 +68,12 @@ class TestThreadHygiene:
         assert _settled_count(before) <= before + 1
 
     def test_busy_devices_use_o_lanes_threads(self):
-        """Active traffic from many devices materialises lane threads,
-        never per-connection threads: the server-side execution thread
-        count is bounded by the configured lane count."""
+        """Active traffic from many devices never materialises
+        per-connection threads: the server-side execution thread count
+        is bounded by the configured lane count, and ops that cannot
+        block run on the reactor without waking a lane at all."""
+        metrics_were_on = GLOBAL_METRICS.enabled
+        GLOBAL_METRICS.enable()
         runtime = Runtime(gc_interval=0.05)
         server = StampedeServer(runtime, lanes=4).start()
         clients = []
@@ -75,6 +84,7 @@ class TestThreadHygiene:
             clients[0].create_channel("fanout")
             handles = [client.attach("fanout", ConnectionMode.INOUT)
                        for client in clients]
+            inline_before = _inline_count(clients[0])
             for ts, handle in enumerate(handles):
                 handle.put(ts, ts)
             for handle in handles:
@@ -83,15 +93,20 @@ class TestThreadHygiene:
                 1 for thread in threading.enumerate()
                 if thread.name.startswith("dstampede-lane")
             )
-            assert 1 <= lane_threads <= 4, (
+            assert lane_threads <= 4, (
                 f"{lane_threads} lane threads for a 4-lane server"
             )
             assert server.lane_pool.started_threads() <= 4
+            # Every put and get found its connection idle: 24 ops inline.
+            assert _inline_count(clients[0]) - inline_before \
+                >= 2 * len(handles)
         finally:
             for client in clients:
                 client.close()
             server.close()
             runtime.shutdown()
+            if not metrics_were_on:
+                GLOBAL_METRICS.disable()
 
     def test_idle_devices_use_no_threads(self):
         runtime = Runtime(gc_interval=0.05)

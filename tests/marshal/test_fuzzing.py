@@ -7,7 +7,7 @@ drives random and structurally-mutated inputs through each one.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DecodeError, FramingError, StampedeError
@@ -97,6 +97,7 @@ class TestFilterSpecFuzzing:
             max_leaves=12,
         )
     )
+    @example(spec={"kind": []})  # unhashable kind: DecodeError, not TypeError
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_specs_never_crash(self, spec):
         from repro.core.filters import filter_from_spec

@@ -197,6 +197,129 @@ class TestSuspendResume:
             pool.close()
 
 
+class TestRunInline:
+    def test_idle_client_runs_on_the_calling_thread(self):
+        pool = LanePool(2)
+        seen = []
+
+        def runner(task):
+            seen.append((task, threading.current_thread(),
+                         lanes.current_client()))
+
+        try:
+            client = pool.client(runner, name="inline")
+            assert client.run_inline("a")
+            assert client.run_inline(["b", "c"])
+            me = threading.current_thread()
+            assert seen == [(t, me, client) for t in "abc"]
+            assert lanes.current_client() is None
+            assert pool.started_threads() == 0, "no lane was woken"
+        finally:
+            pool.close()
+
+    def test_busy_client_refuses_and_order_holds(self):
+        pool = LanePool(1)
+        log = []
+        gate = threading.Event()
+
+        def runner(task):
+            if task == "slow":
+                gate.wait(5.0)
+            log.append(task)
+
+        try:
+            client = pool.client(runner, name="busy")
+            client.submit("slow")
+            client.submit("queued")
+            assert not client.run_inline("refused")
+            client.submit("refused")
+            gate.set()
+            assert client.drain(timeout=5.0)
+            assert log == ["slow", "queued", "refused"]
+            assert client.run_inline("idle-again")
+            assert log[-1] == "idle-again"
+        finally:
+            pool.close()
+
+    def test_inline_suspend_holds_later_tasks_until_resume(self):
+        """An inline element that offloads (suspend + STOP) parks the
+        client like a lane would; resume() then starts the lane thread
+        that nothing had started yet."""
+        pool = LanePool(1)
+        log = []
+        release = threading.Event()
+
+        def runner(task):
+            if task == "block":
+                client = lanes.current_client()
+                client.suspend()
+
+                def offload():
+                    release.wait(5.0)
+                    log.append("block")
+                    client.resume()
+
+                threading.Thread(target=offload, daemon=True).start()
+                return STOP
+            log.append(task)
+
+        try:
+            client = pool.client(runner, name="inline-offload")
+            assert client.run_inline(["a", "block", "b"])
+            client.submit("c")
+            assert not client.run_inline("d"), "suspended is not idle"
+            client.submit("d")
+            time.sleep(0.05)
+            assert log == ["a"]
+            release.set()
+            assert client.drain(timeout=5.0)
+            assert log == ["a", "block", "b", "c", "d"]
+        finally:
+            pool.close()
+
+
+@pytest.mark.parametrize("lane_count", [1, 8])
+@given(steps=st.lists(st.sampled_from(["inline", "submit", "block"]),
+                      max_size=20))
+@settings(max_examples=25, deadline=None)
+def test_mixed_inline_and_lane_order_preserved(lane_count, steps):
+    """Whatever mix of inline runs, lane submits and offloading ops one
+    connection issues, its tasks execute in issue order."""
+    pool = LanePool(lane_count)
+    log = []
+    workers = []
+
+    def runner(task):
+        seq, blocking = task
+        if blocking:
+            client = lanes.current_client()
+            client.suspend()
+
+            def offload():
+                time.sleep(0.001)
+                log.append(seq)
+                client.resume()
+
+            worker = threading.Thread(target=offload, daemon=True)
+            workers.append(worker)
+            worker.start()
+            return STOP
+        log.append(seq)
+
+    try:
+        client = pool.client(runner, name="mixed")
+        for seq, step in enumerate(steps):
+            task = (seq, step == "block")
+            if step == "submit" or not client.run_inline(task):
+                client.submit(task)
+        assert client.drain(timeout=10.0)
+        for worker in workers:
+            worker.join(timeout=5.0)
+        assert log == list(range(len(steps)))
+    finally:
+        pool.close()
+
+
 class TestDrainEvict:
     def test_drain_from_lane_thread_runs_inline(self):
         """close() can land on a lane thread (send-failure path); drain

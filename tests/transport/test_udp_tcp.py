@@ -169,3 +169,56 @@ class TestTcp:
         for n in range(3):
             mine = [f for f in received if f.startswith(f"{n}:".encode())]
             assert mine == [f"{n}:{i}".encode() for i in range(count)]
+
+
+class TestTcpNowaitSend:
+    """The event loop's send: never waits, and a frame the socket could
+    not take whole is finished by :meth:`flush` without tearing it."""
+
+    def test_whole_frame_goes_out_at_once(self, tcp_pair):
+        client, server = tcp_pair
+        server.setblocking(False)
+        assert server.send_frame_parts_nowait([b"head:", b"tail"])
+        assert not server.backlogged
+        assert client.recv_frame(timeout=5.0) == b"head:tail"
+
+    def test_full_socket_backlogs_then_flush_keeps_frames_whole(
+            self, tcp_pair):
+        client, server = tcp_pair
+        server.setblocking(False)
+        frames = []
+        while not server.backlogged:  # nobody reads: the socket fills
+            assert len(frames) < 64, "socket never filled"
+            frames.append(bytes([len(frames)]) * (1 << 20))
+            sent = server.send_frame_parts_nowait([frames[-1]])
+            assert sent is not server.backlogged
+        # Once anything is backlogged, every later frame queues behind
+        # it instead of jumping ahead on the wire.
+        for tail in (b"after-1", b"after-2"):
+            frames.append(tail)
+            assert server.send_frame_parts_nowait([tail]) is False
+        received = []
+        reader = threading.Thread(target=lambda: received.extend(
+            client.recv_frame(timeout=10.0) for _ in frames))
+        reader.start()
+        server.flush()
+        reader.join(timeout=10.0)
+        assert not server.backlogged
+        assert received == frames
+
+    def test_blocking_send_writes_the_backlog_first(self, tcp_pair):
+        client, server = tcp_pair
+        server.setblocking(False)
+        frames = []
+        while not server.backlogged:
+            assert len(frames) < 64, "socket never filled"
+            frames.append(bytes([len(frames)]) * (1 << 20))
+            server.send_frame_parts_nowait([frames[-1]])
+        frames.append(b"later")
+        received = []
+        reader = threading.Thread(target=lambda: received.extend(
+            client.recv_frame(timeout=10.0) for _ in frames))
+        reader.start()
+        server.send_frame(b"later")
+        reader.join(timeout=10.0)
+        assert received == frames
