@@ -19,20 +19,6 @@ import pytest
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--devices", type=int, default=None,
-        help="Simulated device count for the aio fan-out scale bench "
-             "(default: 10000, or 200 under BENCH_QUICK=1)",
-    )
-
-
-@pytest.fixture(scope="session")
-def device_count(request: pytest.FixtureRequest):
-    """The ``--devices`` override, or None for the bench default."""
-    return request.config.getoption("--devices")
-
-
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)

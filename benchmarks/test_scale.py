@@ -17,14 +17,6 @@ that replaced it, over real TCP sockets:
   consumers, one item: the serialize-once cache must run the §3.2.4
   serializer at least 2x fewer times than the one-encode-per-consumer
   seed behaviour (it runs exactly once in practice).
-* **aio massive fan-out** — the client-side scale curve: one
-  ``repro.client.aio`` process simulating >= 10k full devices (HELLO
-  session, attach, coalesced cast puts, consumes) against the server
-  forked into its own process (so each side stays under the fd
-  limit).  Gates: per-device load-generator RSS no worse than the
-  sync lanes=8 row, aggregate puts/s within 10% of it.  Device count
-  is a knob (``--devices``); every summary row records its
-  ``load_generator`` and the honest single-box ``cpu_count``.
 
 Digests go to ``benchmarks/results/``; summaries to ``BENCH_scale.json``
 at the repo root (same contract as ``BENCH_rpc.json``: >2x regression on
@@ -34,9 +26,7 @@ runs a CI-sized variant that never writes the baseline).
 
 from __future__ import annotations
 
-import asyncio
 import json
-import multiprocessing
 import os
 import threading
 import time
@@ -244,228 +234,6 @@ def test_bench_fanout_serializer_invocations(results_dir):
     )
     _check_or_write_baseline("fanout", summary,
                              gate_keys=("serializer_invocations",))
-
-
-# -- aio massive fan-out -------------------------------------------------
-
-#: Devices one aio load-generator process must sustain (the tentpole's
-#: acceptance floor); quick mode keeps the shape at CI size.
-AIO_DEVICES = 200 if QUICK else 10000
-#: The acceptance floor: gates arm only at a full-size run.
-AIO_GATE_DEVICES = 10000
-AIO_LANES = 8  # matches the gated sync "lanes" baseline row
-#: Bring-up concurrency: the listener backlog is 64, so connects are
-#: throttled to stay under it (plus retries for the unlucky).
-AIO_BRINGUP_CONCURRENCY = 64
-AIO_CLOSE_CONCURRENCY = 128
-
-
-def _scale_server_main(pipe, lanes: int) -> None:
-    """The cluster, in its own process.
-
-    At 10k+ devices a shared process would need 2 fds per device; with
-    the server forked out, load generator and cluster each stay under
-    the (unraisable, 20k) fd limit — and the generator's RSS is its
-    own, which is what the per-device memory gate measures.
-    """
-    runtime = Runtime(gc_interval=60.0)
-    runtime.create_address_space("N1")
-    runtime.create_channel("scale", space="N1")
-    server = StampedeServer(runtime, device_spaces=["N1"],
-                            lanes=lanes).start()
-    pipe.send(server.address)
-    pipe.recv()  # block until the parent says shut down
-    server.close()
-    runtime.shutdown()
-    pipe.send("done")
-
-
-class _AioLoadResult(dict):
-    pass
-
-
-async def _aio_load_pass(address, devices: int, measure: bool,
-                         ts_offset: int = 0) -> _AioLoadResult:
-    """Bring up *devices* full aio clients, stream puts, consume.
-
-    One pass of the load shape; the bench runs it twice and measures
-    the second (see the warmup note in the test).  Returns phase
-    timings and RSS marks.
-    """
-    from repro.client.aio import AioStampedeClient
-    from repro.core import ConnectionMode as Mode
-
-    rss_start = _rss_kb()
-    semaphore = asyncio.Semaphore(AIO_BRINGUP_CONCURRENCY)
-
-    async def bring_up(index: int):
-        async with semaphore:
-            for attempt in range(6):
-                try:
-                    client = await AioStampedeClient.connect(
-                        *address, client_name=f"dev-{index}",
-                        rpc_timeout=30.0)
-                    break
-                except Exception:  # noqa: BLE001 - backlog weather
-                    if attempt == 5:
-                        raise
-                    await asyncio.sleep(0.05 * (attempt + 1))
-            connection = await client.attach("scale", Mode.INOUT)
-            return client, connection
-
-    t0 = time.perf_counter()
-    pairs = await asyncio.gather(
-        *[bring_up(index) for index in range(devices)])
-    attach_elapsed = time.perf_counter() - t0
-    rss_attached = _rss_kb()
-
-    payload = PAYLOAD
-    casts = CASTS_PER_DEVICE
-    stride = casts + 1
-
-    async def drive_puts(index: int):
-        _client, connection = pairs[index]
-        base = ts_offset + index * stride
-        for k in range(casts):
-            await connection.put(base + k, payload, sync=False)
-        # Sync barrier: confirms this device's casts drained.
-        await connection.put(base + casts, payload)
-
-    t0 = time.perf_counter()
-    await asyncio.gather(
-        *[drive_puts(index) for index in range(devices)])
-    put_elapsed = time.perf_counter() - t0
-
-    async def drive_consumes(index: int):
-        client, connection = pairs[index]
-        base = ts_offset + index * stride
-        for k in range(stride):
-            await connection.consume(base + k, sync=False)
-        await client.ping()  # barrier: consume casts drained
-
-    t0 = time.perf_counter()
-    await asyncio.gather(
-        *[drive_consumes(index) for index in range(devices)])
-    consume_elapsed = time.perf_counter() - t0
-
-    close_semaphore = asyncio.Semaphore(AIO_CLOSE_CONCURRENCY)
-
-    async def wind_down(index: int):
-        client, _connection = pairs[index]
-        async with close_semaphore:
-            await client.close()
-
-    await asyncio.gather(
-        *[wind_down(index) for index in range(devices)])
-
-    return _AioLoadResult(
-        measured=measure,
-        attach_elapsed=attach_elapsed,
-        put_elapsed=put_elapsed,
-        consume_elapsed=consume_elapsed,
-        rss_start_kb=rss_start,
-        rss_attached_kb=rss_attached,
-    )
-
-
-def test_bench_aio_fanout_devices(results_dir, device_count):
-    """>= 10k simulated devices, one asyncio load-generator process.
-
-    Honest single-box methodology: everything (load generator + forked
-    server) shares this machine's ``cpu_count`` cores, recorded in the
-    summary.  Two passes run back-to-back and the second is measured —
-    the first warms the allocator arenas exactly like the earlier rows
-    of the sync lane sweep warm the later ones, so the per-device RSS
-    gate compares like for like against the sync ``lanes=8`` row
-    (whose 0.8 kB/device is also an arena-warm number; the cold number
-    is recorded too, unGated, for the curious).
-    """
-    devices = device_count if device_count else AIO_DEVICES
-    context = multiprocessing.get_context("spawn")
-    parent_pipe, child_pipe = context.Pipe()
-    server_process = context.Process(
-        target=_scale_server_main, args=(child_pipe, AIO_LANES),
-        daemon=True)
-    server_process.start()
-    assert parent_pipe.poll(60.0), "server child never came up"
-    address = parent_pipe.recv()
-
-    threads_before = threading.active_count()
-    try:
-        stride = CASTS_PER_DEVICE + 1
-        warmup = asyncio.run(
-            _aio_load_pass(address, devices, measure=False))
-        measured = asyncio.run(
-            _aio_load_pass(address, devices, measure=True,
-                           ts_offset=devices * stride))
-        threads_after = threading.active_count()
-    finally:
-        parent_pipe.send("stop")
-        if parent_pipe.poll(30.0):
-            parent_pipe.recv()
-        server_process.join(timeout=30.0)
-        if server_process.is_alive():
-            server_process.terminate()
-
-    summary = {
-        "devices": devices,
-        "casts_per_device": CASTS_PER_DEVICE,
-        "lanes": AIO_LANES,
-        "load_generator": "aio",
-        "cpu_count": os.cpu_count(),
-        "attach_per_s": devices / measured["attach_elapsed"],
-        "puts_per_s": devices * stride / measured["put_elapsed"],
-        "consume_casts_per_s":
-            devices * stride / measured["consume_elapsed"],
-        "thread_delta": threads_after - threads_before,
-        "rss_per_device_kb":
-            (measured["rss_attached_kb"] - measured["rss_start_kb"])
-            / devices,
-        "rss_per_device_cold_kb":
-            (warmup["rss_attached_kb"] - warmup["rss_start_kb"])
-            / devices,
-    }
-    header = ["devices", "attach_per_s", "puts_per_s",
-              "consume_casts_per_s", "thread_delta",
-              "rss_per_device_kB", "rss_cold_kB"]
-    rows = [[devices, round(summary["attach_per_s"], 1),
-             round(summary["puts_per_s"], 1),
-             round(summary["consume_casts_per_s"], 1),
-             summary["thread_delta"],
-             round(summary["rss_per_device_kb"], 3),
-             round(summary["rss_per_device_cold_kb"], 3)]]
-    write_csv(results_dir / "scale_aio_fanout.csv", header, rows)
-    print_series(
-        f"aio load generator, {devices} devices, 1 process", header,
-        rows)
-
-    # The event loop multiplexes every device: no thread per device,
-    # no thread per call — the whole point of the aio stack.
-    assert summary["thread_delta"] <= 2, (
-        f"aio load generator grew {summary['thread_delta']} threads"
-    )
-
-    if QUICK and not device_count:
-        return  # CI smoke: shape only, never gate or baseline
-
-    # Gate against the sync compatibility oracle's lanes=8 row.
-    sync_row = None
-    if BASELINE_PATH.exists():
-        sync_row = json.loads(BASELINE_PATH.read_text()) \
-            .get("lanes", {}).get(str(AIO_LANES))
-    if sync_row is not None and devices >= AIO_GATE_DEVICES:
-        assert summary["rss_per_device_kb"] \
-            <= sync_row["rss_per_device_kb"], (
-                f"aio {summary['rss_per_device_kb']:.3f} kB/device vs "
-                f"sync {sync_row['rss_per_device_kb']:.3f}"
-            )
-        assert summary["puts_per_s"] \
-            >= 0.9 * sync_row["puts_per_s"], (
-                f"aio {summary['puts_per_s']:.0f} puts/s vs sync "
-                f"{sync_row['puts_per_s']:.0f} (>10%% down)"
-            )
-    _check_or_write_baseline("aio_fanout", summary,
-                             gate_keys=("rss_per_device_kb",))
 
 
 def _check_or_write_baseline(section: str, summary: dict,

@@ -27,7 +27,7 @@ from repro.apps.frames import Frame, VirtualCamera, compose, decompose, \
     verify_frame
 from repro.core.connection import ConnectionMode
 from repro.core.threads import StampedeThread, spawn
-from repro.client.client import StampedeClient
+from repro.client.client import RemoteConnection, StampedeClient
 from repro.errors import StampedeError
 from repro.runtime.runtime import Runtime
 from repro.runtime.server import StampedeServer
@@ -204,14 +204,26 @@ class ConferenceParticipant:
         self._threads: List[StampedeThread] = []
 
     def start(self) -> None:
-        """Create this device's channel and start its threads."""
+        """Create this device's channel and start its threads.
+
+        The display attaches to the composite channel here, on the
+        calling thread, before any thread runs: once ``start`` returns
+        the device has fully joined.  A display that attached from its
+        own thread could lose the race to an earlier participant's
+        consume, and the collector would reclaim composites it never
+        saw.
+        """
         self.client.create_channel(video_channel_name(self.participant),
                                    capacity=8)
+        composites = self.client.attach(
+            COMPOSITE_CHANNEL, ConnectionMode.IN, wait=30.0
+        )
         self._threads.append(spawn(
             self._producer, name=f"producer-{self.participant}"
         ))
         self._threads.append(spawn(
-            self._display, name=f"display-{self.participant}"
+            self._display, composites,
+            name=f"display-{self.participant}",
         ))
 
     def _producer(self) -> None:
@@ -225,10 +237,7 @@ class ConferenceParticipant:
             # version's producer streams the same way).
             connection.put(ts, frame.encode(), sync=False)
 
-    def _display(self) -> None:
-        connection = self.client.attach(
-            COMPOSITE_CHANNEL, ConnectionMode.IN, wait=30.0
-        )
+    def _display(self, connection: RemoteConnection) -> None:
         for ts in range(self.frames):
             try:
                 _, composite = connection.get(ts, timeout=30.0)

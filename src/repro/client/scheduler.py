@@ -13,8 +13,6 @@ Ticks run **inline** on the timer thread and therefore must be quick;
 anything that can block for long — a reconnect backoff ladder, a retry
 loop — must be handed off (the sync client spawns a transient
 single-flight recovery thread; see ``StampedeClient._spawn_recovery``).
-The asyncio client reuses this exact design with a task instead of a
-thread (:class:`repro.client.aio.scheduler.AioHeartbeatScheduler`).
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 A timer-driven daemon thread wakes every ``interval`` seconds, walks
 ``sys._current_frames()`` for every live thread (lanes, reactor, shard
-workers, the aio loop — whatever exists in this process) and folds each
+workers — whatever exists in this process) and folds each
 stack into a **collapsed-stack** counter::
 
     thread-name;outer_fn (mod.py);...;leaf_fn (mod.py)  -> samples

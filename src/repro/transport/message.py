@@ -26,9 +26,9 @@ The stream-framing side is built for the cluster's hot path:
 Neither side is socket-specific: the reader accepts **any source with
 the ``recv_into``/``fileno`` shape** — a TCP socket, or the shared-
 memory ring source of :mod:`repro.transport.shm`, whose rings carry
-these exact length-prefixed frames byte-for-byte — and the assembler
-accepts chunks from any push producer.  Everything above framing
-(clients, surrogates, the reactor) is transport-blind as a result.
+these exact length-prefixed frames byte-for-byte.  Everything above
+framing (clients, surrogates, the reactor) is transport-blind as a
+result.
 """
 
 from __future__ import annotations
@@ -351,72 +351,12 @@ class FrameReader:
         return count
 
 
-class FrameAssembler:
-    """Incremental frame parser for **push-style** byte streams.
-
-    The pull-side twin of :class:`FrameReader`: where the reader owns a
-    socket and calls ``recv_into``, the assembler is *fed* byte chunks
-    by whoever owns the I/O (an asyncio protocol's ``data_received``,
-    a test harness replaying a capture) and yields every frame that
-    completes.  Partial frames survive across ``feed`` calls, so chunk
-    boundaries — TCP segments, read sizes — never desync the stream.
-
-    Same framing, same size ceiling, same metrics as the socket paths:
-    a frame parsed here is indistinguishable from one read by
-    :class:`FrameReader`.
-    """
-
-    __slots__ = ("_limit", "_buffer")
-
-    def __init__(self, max_size: Optional[int] = None) -> None:
-        self._limit = MAX_FRAME_SIZE if max_size is None else max_size
-        self._buffer = bytearray()
-
-    @property
-    def mid_frame(self) -> bool:
-        """Whether a partially-received frame is buffered."""
-        return bool(self._buffer)
-
-    def feed(self, data) -> List[bytes]:
-        """Absorb *data* and return every frame it completed (in order).
-
-        :raises FramingError: a length prefix exceeds the size limit
-            (corrupt prefix or protocol skew) — the stream is
-            unrecoverable and should be closed.
-        """
-        buffer = self._buffer
-        buffer += data
-        frames: List[bytes] = []
-        offset = 0
-        available = len(buffer)
-        while available - offset >= _LENGTH.size:
-            (length,) = _LENGTH.unpack_from(buffer, offset)
-            if length > self._limit:
-                raise FramingError(
-                    f"frame length {length} exceeds limit {self._limit} "
-                    f"(corrupt prefix or protocol skew)"
-                )
-            if available - offset - _LENGTH.size < length:
-                break
-            start = offset + _LENGTH.size
-            frames.append(bytes(buffer[start:start + length]))
-            offset = start + length
-        if offset:
-            del buffer[:offset]
-        if _metrics.enabled and frames:
-            _FRAMES_IN.value += len(frames)
-            _BYTES_IN.value += sum(
-                len(f) + _LENGTH.size for f in frames)
-        return frames
-
-
 def encode_frame_prefix(payload_size: int) -> bytes:
     """The 4-byte length prefix for a *payload_size*-byte frame.
 
-    Push-style writers (the asyncio client) build outgoing frames as
-    ``prefix + payload`` themselves instead of going through a socket
-    helper; sharing the prefix encoding keeps the two directions of the
-    wire format in one place.
+    Writers that build outgoing frames as ``prefix + payload``
+    themselves (the shared-memory ring) share this encoding instead of
+    going through a socket helper, so the wire format lives in one place.
     """
     if payload_size > MAX_FRAME_SIZE:
         raise MessageTooLargeError(

@@ -1,19 +1,16 @@
-"""The shared heartbeat schedulers (sync thread, aio task).
+"""The shared heartbeat scheduler (one timer thread per process).
 
-Both sides multiplex every client's heartbeat onto one timer: the
-process-wide thread for sync clients, one task per event loop for aio.
-These tests pin the sharing contract — N registrations cost one
-timer, the timer retires when the last registration goes, one failing
-tick never takes down its neighbours.
+Every client's heartbeat is multiplexed onto one process-wide
+timer thread.  These tests pin the sharing contract — N registrations
+cost one timer, the timer retires when the last registration goes, one
+failing tick never takes down its neighbours.
 """
 
-import asyncio
 import threading
 import time
 
 import pytest
 
-from repro.client.aio.scheduler import AioHeartbeatScheduler
 from repro.client.scheduler import HeartbeatScheduler
 
 
@@ -112,97 +109,3 @@ class TestSyncScheduler:
             handle_fast.cancel()
             handle_slow.cancel()
 
-
-class TestAioScheduler:
-    def test_registrations_share_one_task(self):
-        async def scenario():
-            scheduler = AioHeartbeatScheduler()
-            ticks_a, ticks_b = [], []
-
-            async def tick(sink):
-                sink.append(1)
-                return 0.01
-
-            handle_a = scheduler.register(0.01, lambda: tick(ticks_a))
-            handle_b = scheduler.register(0.01, lambda: tick(ticks_b))
-            task = scheduler.task
-            assert task is not None
-            deadline = time.monotonic() + 5.0
-            while (len(ticks_a) < 3 or len(ticks_b) < 3) \
-                    and time.monotonic() < deadline:
-                await asyncio.sleep(0.005)
-            assert len(ticks_a) >= 3 and len(ticks_b) >= 3
-            assert scheduler.task is task  # still the same single task
-            assert scheduler.live_count == 2
-            handle_a.cancel()
-            handle_b.cancel()
-            await asyncio.sleep(0.05)
-            assert scheduler.task is None
-            assert task.done()
-        asyncio.run(scenario())
-
-    def test_none_return_unregisters(self):
-        async def scenario():
-            scheduler = AioHeartbeatScheduler()
-            ticks = []
-
-            async def tick_once():
-                ticks.append(1)
-                return None
-
-            scheduler.register(0.01, tick_once)
-            deadline = time.monotonic() + 5.0
-            while scheduler.live_count and \
-                    time.monotonic() < deadline:
-                await asyncio.sleep(0.005)
-            assert scheduler.live_count == 0
-            await asyncio.sleep(0.05)
-            assert ticks == [1]
-        asyncio.run(scenario())
-
-    def test_raising_tick_unregisters_only_itself(self):
-        async def scenario():
-            scheduler = AioHeartbeatScheduler()
-            healthy = []
-
-            async def bad():
-                raise RuntimeError("boom")
-
-            async def good():
-                healthy.append(1)
-                return 0.01
-
-            scheduler.register(0.01, bad)
-            handle = scheduler.register(0.01, good)
-            deadline = time.monotonic() + 5.0
-            while len(healthy) < 3 and time.monotonic() < deadline:
-                await asyncio.sleep(0.005)
-            assert len(healthy) >= 3
-            assert scheduler.live_count == 1
-            handle.cancel()
-        asyncio.run(scenario())
-
-    def test_task_restarts_on_reregister(self):
-        async def scenario():
-            scheduler = AioHeartbeatScheduler()
-
-            async def tick():
-                return 0.01
-
-            first = scheduler.register(0.01, tick)
-            first.cancel()
-            await asyncio.sleep(0.05)
-            assert scheduler.task is None
-            ticks = []
-
-            async def tick2():
-                ticks.append(1)
-                return 0.01
-
-            second = scheduler.register(0.01, tick2)
-            deadline = time.monotonic() + 5.0
-            while len(ticks) < 2 and time.monotonic() < deadline:
-                await asyncio.sleep(0.005)
-            assert len(ticks) >= 2
-            second.cancel()
-        asyncio.run(scenario())
